@@ -475,7 +475,8 @@ impl MultiChipSystem {
         self.chips[0].tick_engine()
     }
 
-    /// Enable/disable the NoC idle-router fast path on every chip.
+    /// Enable/disable the NoC fast paths (idle-router and blocked-head
+    /// skips) on every chip.
     pub fn set_noc_idle_skip(&mut self, on: bool) {
         for c in &mut self.chips {
             c.set_noc_idle_skip(on);

@@ -98,8 +98,8 @@ impl Nets {
         self.net(class).can_inject(node, class, prio)
     }
 
-    /// Enable/disable the idle-router fast path on all physical networks
-    /// (reference mode for equivalence testing).
+    /// Enable/disable the idle-router and blocked-head fast paths on all
+    /// physical networks (reference mode for equivalence testing).
     pub fn set_idle_skip(&mut self, on: bool) {
         match self {
             Nets::Separate { request, reply } => {
@@ -229,6 +229,25 @@ impl Nets {
         match self {
             Nets::Separate { request, reply } => request.in_flight() + reply.in_flight(),
             Nets::Shared(n) => n.in_flight(),
+        }
+    }
+
+    /// The lowest-numbered node at or after `from` with reassembled
+    /// packets waiting on any network; walking `from = node + 1` visits
+    /// every such node once, in node order (see
+    /// [`Network::next_ejected_node`]).
+    pub fn next_ejected_node(&self, from: usize) -> Option<NodeId> {
+        match self {
+            Nets::Separate { request, reply } => {
+                match (
+                    request.next_ejected_node(from),
+                    reply.next_ejected_node(from),
+                ) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                }
+            }
+            Nets::Shared(n) => n.next_ejected_node(from),
         }
     }
 

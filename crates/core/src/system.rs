@@ -747,9 +747,10 @@ impl System {
         }
     }
 
-    /// Enable/disable the NoC's idle-router fast path (on by default).
-    /// Turning it off forces every router through full VA/SA each cycle —
-    /// the reference mode equivalence tests compare against.
+    /// Enable/disable the NoC's fast paths (on by default): the
+    /// idle-router skip and the blocked-head VA skip. Turning them off
+    /// forces every router through full VA/SA each cycle — the
+    /// reference mode equivalence tests compare against.
     pub fn set_noc_idle_skip(&mut self, on: bool) {
         self.nets.set_idle_skip(on);
     }
@@ -759,8 +760,11 @@ impl System {
     fn deliver_ejections(&mut self) {
         let now = self.now;
         let mut forwards = std::mem::take(&mut self.gpu_forwards);
-        for node in 0..self.layout.node_count() {
-            let node = NodeId(node as u16);
+        // Only nodes with reassembled packets waiting, in node order:
+        // the same delivery order as a scan of every node.
+        let mut from = 0;
+        while let Some(node) = self.nets.next_ejected_node(from) {
+            from = node.index() + 1;
             match self.layout.kind_of(node) {
                 NodeKind::Gpu(core) => match &mut self.nets {
                     Nets::Separate { request, reply } => {

@@ -1,20 +1,26 @@
 //! Deterministic spatial sharding of one network across worker threads.
 //!
 //! A sharded [`crate::Network`] partitions the mesh into per-row router
-//! groups and ticks the VA and SA/ST phases of each group on a pool of
-//! persistent worker threads, with a spin barrier between phases. The
-//! protocol keeps reports **byte-identical** to the sequential loop:
+//! groups and runs each group's fused router pass (VA then SA/ST per
+//! router) on a pool of persistent worker threads: one pool phase, with
+//! a start and a done barrier, per network tick. One phase suffices
+//! because VA at router `r` reads only router `r`'s state and SA/ST at
+//! `r` defers every effect on another router, so no router's pass can
+//! observe another's within the tick. The protocol keeps reports
+//! **byte-identical** to the sequential loop:
 //!
-//! - Every mutation a phase performs in place is shard-local: input VC
+//! - Every mutation the pass performs in place is shard-local: input VC
 //!   buffers, allocations, output-VC ownership, credit decrements,
-//!   iSLIP pointers, per-router link counters, and the ejection budget
-//!   of the shard's own locally attached nodes. On a mesh, node `n`
-//!   attaches to router `n`, so a contiguous router range owns the
-//!   identical node range.
+//!   iSLIP pointers, the router's own occupancy words, per-router link
+//!   counters, and the ejection budget of the shard's own locally
+//!   attached nodes. On a mesh, node `n` attaches to router `n`, so a
+//!   contiguous router range owns the identical node range. Occupancy
+//!   words are per router, never shared, so no two shards write one
+//!   word.
 //! - Anything that crosses a shard boundary or lands in shared state —
 //!   link transfers, credit returns, completed ejections (slab removal,
 //!   global stats, per-node ejection queues) — is recorded in a
-//!   per-shard [`ShardScratch`] during the phase and merged on the main
+//!   per-shard [`ShardScratch`] during the pass and merged on the main
 //!   thread *in shard order* after the barrier. Shard order equals
 //!   router order, so the merged streams are exactly what the
 //!   sequential loop pushes, flit for flit, and the packet-slab free
@@ -24,7 +30,7 @@
 //!   is trivially "all shards agree"; workers simply idle at the
 //!   barrier while the clock jumps.
 //!
-//! The pool workers drive shard phases through a raw `*mut Network`
+//! The pool workers drive shard passes through a raw `*mut Network`
 //! published under the barrier (release/acquire on the generation word
 //! gives the happens-before edge). Each participant touches only its
 //! shard's disjoint state, so there are no data races; the aliasing of
@@ -125,41 +131,62 @@ impl ShardPlan {
     }
 }
 
-/// Per-shard working set for one tick phase. Everything a shard defers
-/// for the in-order merge lives here, plus the SA scratch buffers that
-/// used to sit directly on `Network` (cleared, never reallocated, so
-/// steady-state ticks stay heap-free).
+/// One switch-allocation request: the input VC at local bit `bit`
+/// (input port `inp`, VC `vc`) asks for output port `out`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SaReq {
+    pub bit: u32,
+    pub out: u16,
+    pub inp: u16,
+    pub vc: u8,
+    pub prio: Priority,
+}
+
+/// "No request" in the per-port grant/accept slots.
+pub(crate) const NO_REQ: u16 = u16::MAX;
+
+/// Per-shard working set for one tick. Everything a shard defers for
+/// the in-order merge lives here, plus the SA scratch buffers (cleared,
+/// never reallocated, so steady-state ticks stay heap-free).
 #[derive(Debug, Default)]
 pub(crate) struct ShardScratch {
-    /// SA requests gathered per router: (out_port, in_port, in_vc, prio).
-    pub sa_requests: Vec<(usize, usize, usize, Priority)>,
-    /// SA per-round grants (out, in, vc).
-    pub sa_grants: Vec<(usize, usize, usize)>,
-    /// SA accepted matches (in, vc, out).
-    pub sa_accepted: Vec<(usize, usize, usize)>,
+    /// SA requests gathered per router, ascending (port, vc).
+    pub sa_req: Vec<SaReq>,
+    /// Per output port: the request it grants this round.
+    pub sa_grant: Vec<u16>,
+    /// Per input port: the grant it accepts this round.
+    pub sa_accept: Vec<u16>,
+    /// Output ports that granted this round.
+    pub sa_outs: Vec<u16>,
+    /// Accepted requests, in traversal order.
+    pub sa_accepted: Vec<u16>,
     /// SA: output ports already matched this cycle.
     pub sa_out_taken: Vec<bool>,
     /// SA: input ports already matched this cycle.
     pub sa_in_taken: Vec<bool>,
-    /// Link transfers leaving this shard's routers (possibly into
-    /// another shard); applied after the merge.
-    pub transfers: Vec<(usize, usize, usize, Flit)>,
-    /// Credit returns towards upstream routers (possibly in another
+    /// Link transfers `(router, local bit, flit)` leaving this shard's
+    /// routers (possibly into another shard); applied after the merge.
+    pub transfers: Vec<(u32, u32, Flit)>,
+    /// Flat output-VC indices owed a credit (possibly in another
     /// shard); applied after the merge.
-    pub credit_returns: Vec<(usize, usize, usize)>,
+    pub credit_returns: Vec<u32>,
     /// Packets whose last flit ejected this cycle: (slot, node index).
     /// Slab removal, stats recording, and the ejection-queue push all
     /// touch shared state and happen in the merge.
     pub ejections: Vec<(Slot, usize)>,
 }
 
-/// Which tick phase the pool is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
-    /// VC allocation.
-    Va,
-    /// Switch allocation + switch/link traversal.
-    SaSt,
+impl ShardScratch {
+    /// Scratch for routers of at most `max_ports` ports.
+    pub fn new(max_ports: usize) -> Self {
+        ShardScratch {
+            sa_grant: vec![NO_REQ; max_ports],
+            sa_accept: vec![NO_REQ; max_ports],
+            sa_out_taken: vec![false; max_ports],
+            sa_in_taken: vec![false; max_ports],
+            ..ShardScratch::default()
+        }
+    }
 }
 
 /// Sense-reversing spin barrier: cheap per-cycle rendezvous without
@@ -204,11 +231,10 @@ impl SpinBarrier {
     }
 }
 
-/// Work published to the pool for one phase.
+/// Work published to the pool for one tick.
 #[derive(Clone, Copy)]
 struct Work {
     net: *mut Network,
-    phase: Phase,
 }
 
 struct PoolShared {
@@ -260,7 +286,6 @@ impl ShardPool {
             barrier: SpinBarrier::new(shards),
             work: UnsafeCell::new(Work {
                 net: std::ptr::null_mut(),
-                phase: Phase::Va,
             }),
             stop: AtomicBool::new(false),
         });
@@ -285,16 +310,17 @@ impl ShardPool {
         self.shards
     }
 
-    /// Run one phase of `net` across all shards and wait for completion.
-    pub(crate) fn run(&self, net: &mut Network, phase: Phase) {
+    /// Run the router pass of `net` across all shards and wait for
+    /// completion.
+    pub(crate) fn run(&self, net: &mut Network) {
         let ptr: *mut Network = net;
         // SAFETY: workers are parked at the start barrier, so nothing
         // reads `work` until this thread arrives there below.
         unsafe {
-            *self.shared.work.get() = Work { net: ptr, phase };
+            *self.shared.work.get() = Work { net: ptr };
         }
-        self.shared.barrier.wait(); // release the phase
-        run_shard(net, 0, phase); // coordinator takes shard 0
+        self.shared.barrier.wait(); // release the pass
+        net.tick_shard(0); // coordinator takes shard 0
         self.shared.barrier.wait(); // all shards done
     }
 }
@@ -313,25 +339,18 @@ impl Drop for ShardPool {
 
 fn worker_loop(shared: &PoolShared, shard: usize) {
     loop {
-        shared.barrier.wait(); // phase start
+        shared.barrier.wait(); // pass start
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        let Work { net, phase } = unsafe { *shared.work.get() };
+        let Work { net } = unsafe { *shared.work.get() };
         // SAFETY: the coordinator published a live `&mut Network` for
-        // this phase and every participant touches only its own shard's
+        // this pass and every participant touches only its own shard's
         // disjoint state (see module docs); the reference does not
         // outlive the done barrier below.
         let net = unsafe { &mut *net };
-        run_shard(net, shard, phase);
-        shared.barrier.wait(); // phase done
-    }
-}
-
-fn run_shard(net: &mut Network, shard: usize, phase: Phase) {
-    match phase {
-        Phase::Va => net.va_shard(shard),
-        Phase::SaSt => net.sa_st_shard(shard),
+        net.tick_shard(shard);
+        shared.barrier.wait(); // pass done
     }
 }
 
